@@ -175,9 +175,10 @@ class BrickedArray:
     def fill_ghost_periodic(self) -> None:
         """Fill the ghost shell by periodic wrap within this subdomain.
 
-        Correct only when this rank owns the entire periodic domain
-        (single-rank runs); distributed runs use
-        :class:`repro.comm.exchange.BrickExchanger` instead.
+        Correct only when this rank owns the entire periodic domain;
+        solver exchanges go through :class:`repro.comm.exchange.HaloExchange`
+        (:class:`~repro.comm.exchange.LocalPeriodicExchange` on one rank),
+        whose planned copy uses the same ``periodic_wrap_pairs`` tables.
         """
         ghost, src = self.grid.periodic_wrap_pairs
         if self.has_resident_halo:

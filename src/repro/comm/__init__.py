@@ -10,9 +10,10 @@ single-process SPMD simulator that preserves MPI's semantics:
   ``Isend``/``Irecv``/``Waitall``-style message passing between rank
   mailboxes, with tag matching and per-rank statistics;
 * :class:`~repro.comm.exchange.HaloExchange` — the V-cycle's
-  ``exchange()``: ghost-brick exchange with all 26 neighbours, message
-  aggregation across fields, and pack/unpack segment accounting driven
-  by the brick storage ordering;
+  ``exchange()``: ghost-brick exchange with all 26 neighbours, run as a
+  precomputed indexed copy per rank pair (``ExchangePlan``) or, with
+  fault injection or tracing armed, as per-direction aggregated
+  messages with pack/unpack segment accounting;
 * :mod:`~repro.comm.protocols` — eager/rendezvous message protocol
   selection mirroring the CXI environment variables of Table I;
 * :mod:`~repro.comm.mapping` — CPU–GPU–NIC binding models.

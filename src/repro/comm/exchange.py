@@ -1,23 +1,37 @@
 """Ghost-brick exchange: the V-cycle's ``exchange()`` operation.
 
-Each rank sends, for every one of its 26 neighbour directions, the
-interior bricks the neighbour's ghost shell needs, and receives the
-matching region into its own ghost bricks.  Because the ghost shell is
-a full brick deep, one exchange validates ``brick_dim`` cells of halo —
-the basis of communication-avoiding smoothing.
+Each rank's 26 ghost regions are filled from the interior bricks of the
+neighbour along that direction.  Because the ghost shell is a full brick
+deep, one exchange validates ``brick_dim`` cells of halo — the basis of
+communication-avoiding smoothing.
 
-Two cost-relevant properties are recorded per message:
+The adjacency is static, and the surface-major brick ordering makes
+every region a contiguous slot range, so a whole exchange is an indexed
+copy.  :class:`ExchangePlan` holds that copy for one level and rank
+grid: per (destination, source) rank pair, the concatenated ghost-slot
+and source-slot tables of every direction between the two ranks, plus
+the static accounting of the per-direction messages the exchange stands
+for.  Plans are keyed by geometry and rank grid and shared through a
+bounded :class:`~repro.bricks.plan_cache.PlanLRUCache`.
 
-* *aggregation*: multiple fields (``x`` and ``b``) destined for the
-  same neighbour travel in one message (Section V's "message
-  aggregation across multiple smoothing operations");
-* *segments*: the number of contiguous storage ranges the payload
-  occupies under the grid's ordering — 1 means pack-free/unpack-free,
-  which the surface-major ordering guarantees for every receive.
+:class:`HaloExchange` runs one of two paths, fixed at construction by
+:func:`exchange_path`:
 
-:class:`LocalPeriodicExchange` provides the single-rank equivalent
-(periodic wrap) with the same interface so the V-cycle driver is
-decomposition-agnostic.
+* **planned** (no fault injector, no tracer): one indexed copy per rank
+  pair and field, the boundary fills, and one bulk update of the
+  :class:`~repro.instrument.Recorder` and communicator counters — the
+  same message rows, counts and bytes the envelope path produces;
+* **envelope** (fault injection or tracing armed): one
+  ``Isend``/``Irecv`` per neighbour direction over
+  :class:`~repro.comm.simmpi.SimComm`, with checksums, fault injection,
+  retransmission, dead-rank skips and per-rank trace spans.
+
+Both record, per message, the *aggregation* of all exchanged fields
+into one payload (Section V's "message aggregation across multiple
+smoothing operations") and its *segments*: the contiguous storage
+ranges the send occupies under the grid's ordering (1 means
+pack-free).  :class:`LocalPeriodicExchange` is the one-rank case: a
+single self pair whose tables are ``BrickGrid.periodic_wrap_pairs``.
 """
 
 from __future__ import annotations
@@ -35,10 +49,14 @@ from repro.bricks.brick_grid import (
 )
 from repro.bricks.bricked_array import BrickedArray
 from repro.bricks.orderings import contiguous_segments
+from repro.bricks.plan_cache import PlanLRUCache
 from repro.comm.simmpi import SimComm, UnmatchedReceiveError
 from repro.comm.topology import CartTopology
-from repro.instrument import Recorder
+from repro.instrument import MessageEvent, Recorder
 from repro.obs.tracer import NULL_TRACER
+
+#: exchange plans keyed by (grid geometry, rank dims, periodicity)
+_PLAN_CACHE = PlanLRUCache("exchange")
 
 
 class ExchangeFaultError(RuntimeError):
@@ -80,110 +98,82 @@ def payload_checksum(payload: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(payload).tobytes())
 
 
-class LocalPeriodicExchange:
-    """Single-rank 'exchange': periodic wrap within the one subdomain.
+def exchange_path(injector, tracer) -> tuple[str, str]:
+    """``(path, reason)``: which exchange path these inputs select.
 
-    Records the same message events a real 26-neighbour exchange would
-    (marked ``self_message``) so operation-count validation works
-    uniformly.  With a non-periodic ``boundary``, ghost bricks are
-    synthesised by the boundary condition instead (no messages at all —
-    a single rank owns the whole domain).
+    The envelope path runs when a fault injector is armed (faults act
+    per message) or a tracer is attached (per-rank ``isend``/``irecv``
+    spans are recorded per message); otherwise the planned path runs.
+    """
+    if injector is not None:
+        return "envelope", "a fault injector is armed"
+    if tracer is not None and tracer.enabled:
+        return "envelope", "a tracer is attached"
+    return "planned", "no fault injector and no tracer"
+
+
+class ExchangePlan:
+    """Static tables of one level's halo exchange on one rank grid.
+
+    A pure function of the grid geometry and the topology's dims and
+    periodicity; ranks are communicator-local.
+
+    * ``send_slots``/``ghost_slots``: per direction, the slots a rank
+      sends towards that neighbour and the ghost slots it fills from it;
+    * ``send_segments``/``recv_segments``: their contiguous-range counts;
+    * ``messages``: ``(src, dst, direction)`` of every message, in the
+      envelope path's posting order (sender-major, then direction);
+    * ``pairs``: ``(dst, src, ghost, source)`` per communicating rank
+      pair — every direction's tables between the two, concatenated
+      and sorted by ghost slot, so ``dst[ghost] = src[source]`` is the
+      pair's whole share of the exchange.
     """
 
-    def __init__(
-        self,
-        grid: BrickGrid,
-        recorder: Recorder | None = None,
-        boundary=None,
-        tracer=None,
-    ) -> None:
-        from repro.gmg.boundary import BoundaryCondition, BoundaryFill
-
-        self.grid = grid
-        self.recorder = recorder
-        self.tracer = tracer or NULL_TRACER
-        self.boundary = boundary or BoundaryCondition.PERIODIC
-        self._fill = None
-        if self.boundary is not BoundaryCondition.PERIODIC:
-            self._fill = BoundaryFill(
-                grid, ((True, True),) * 3, self.boundary
+    def __init__(self, grid: BrickGrid, topology: CartTopology) -> None:
+        self.send_slots = {
+            d: grid.send_region_slots(d) for d in NEIGHBOR_DIRECTIONS
+        }
+        self.ghost_slots = {
+            d: grid.ghost_region_slots(d) for d in NEIGHBOR_DIRECTIONS
+        }
+        self.send_segments = {
+            d: len(contiguous_segments(s)) for d, s in self.send_slots.items()
+        }
+        self.recv_segments = {
+            d: len(contiguous_segments(s)) for d, s in self.ghost_slots.items()
+        }
+        messages = []
+        tables: dict[tuple[int, int], tuple[list, list]] = {}
+        for src in range(topology.size):
+            for d in NEIGHBOR_DIRECTIONS:
+                dst = topology.neighbor(src, d)
+                if dst is None:
+                    continue  # domain boundary: nothing to send
+                messages.append((src, dst, d))
+                # the receiver's ghost region along -d holds our send
+                # region along d
+                ghost, source = tables.setdefault((dst, src), ([], []))
+                ghost.append(self.ghost_slots[tuple(-c for c in d)])
+                source.append(self.send_slots[d])
+        self.messages = tuple(messages)
+        pairs = []
+        for (dst, src), (ghost, source) in sorted(tables.items()):
+            ghost = np.concatenate(ghost)
+            order = np.argsort(ghost, kind="stable")
+            pairs.append(
+                (dst, src, ghost[order], np.concatenate(source)[order])
             )
-        #: fully-constructed event rows of the 26 recorded messages per
-        #: (level, itemsize, nfields) — static per grid, so the per-
-        #: exchange record is one bulk extend of shared frozen events
-        self._message_events: dict[tuple[int, int, int], list] = {}
+        self.pairs = tuple(pairs)
 
-    def exchange(
-        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> None:
-        """Fill ghost shells; ``fields_by_rank`` is ``[[fields of rank 0]]``."""
-        if len(fields_by_rank) != 1:
-            raise ValueError("LocalPeriodicExchange serves exactly one rank")
-        with self.tracer.span(
-            "exchange", l=level, nfields=len(fields_by_rank[0])
-        ):
-            self._fill_ghosts(fields_by_rank[0])
-        self._record(level, fields_by_rank[0])
 
-    def begin(
-        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
-    ) -> int:
-        """Split-phase entry: a single rank has no wire traffic to hide,
-        so the whole periodic wrap (or boundary fill) happens eagerly at
-        ``begin`` — it writes only ghost bricks, which the interior pass
-        never reads.  Returns the pending token for :meth:`finish`."""
-        if len(fields_by_rank) != 1:
-            raise ValueError("LocalPeriodicExchange serves exactly one rank")
-        with self.tracer.span(
-            "exchange.begin", l=level, nfields=len(fields_by_rank[0])
-        ):
-            self._fill_ghosts(fields_by_rank[0])
-        self._record(level, fields_by_rank[0])
-        return level
-
-    def finish(self, pending: int) -> None:
-        """Split-phase completion: everything already happened at
-        ``begin``; the span keeps wait-time accounting uniform."""
-        with self.tracer.span("exchange.finish", l=pending, nfields=0):
-            pass
-
-    def _fill_ghosts(self, fields: Sequence[BrickedArray]) -> None:
-        for field in fields:
-            if field.grid is not self.grid:
-                raise ValueError(
-                    "field grid does not match the exchanger's grid"
-                )
-            if self._fill is None:
-                field.fill_ghost_periodic()
-            else:
-                field.zero_ghost()
-                self._fill.apply(field)
-
-    def _record(self, level: int, fields: Sequence[BrickedArray]) -> None:
-        if self.recorder is None:
-            return
-        self.recorder.exchange(level)
-        if self._fill is not None:
-            return
-        nfields = len(fields)
-        itemsize = fields[0].data.dtype.itemsize
-        key = (level, itemsize, nfields)
-        events = self._message_events.get(key)
-        if events is None:
-            from repro.instrument import MessageEvent
-
-            events = [
-                MessageEvent(
-                    level,
-                    self.grid.region_num_bytes(d, itemsize) * nfields,
-                    direction_kind(d),
-                    1,
-                    True,
-                )
-                for d in NEIGHBOR_DIRECTIONS
-            ]
-            self._message_events[key] = events
-        self.recorder.messages.extend(events)
+def exchange_plan(grid: BrickGrid, topology: CartTopology) -> ExchangePlan:
+    """The shared :class:`ExchangePlan` for ``grid`` on ``topology``."""
+    key = (grid.geometry_key, topology.dims, topology.periodic)
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = ExchangePlan(grid, topology)
+        _PLAN_CACHE.put(key, plan)
+    return plan
 
 
 class ResilientChannel:
@@ -423,10 +413,14 @@ class ResilientChannel:
 class HaloExchange(ResilientChannel):
     """Collective 26-neighbour ghost-brick exchange over ``SimComm``.
 
-    The driver runs ranks in lockstep: all sends for all ranks are
-    posted first, then all receives complete (``Isend``/``Irecv``/
-    ``Waitall`` order within one phase).  Fields are aggregated per
-    neighbour into a single message.
+    The V-cycle runs ranks in lockstep and hands every rank's fields to
+    one call.  Whether that call runs the planned copy or the envelope
+    protocol is fixed at construction by :func:`exchange_path` (see the
+    module docstring); both fill identical ghosts and record identical
+    message rows, exchange counts and communicator byte counters.  On
+    the envelope path all sends for all ranks are posted first, then all
+    receives complete (``Isend``/``Irecv``/``Waitall`` order within one
+    phase), with fields aggregated per neighbour into one message.
     """
 
     def __init__(
@@ -463,24 +457,24 @@ class HaloExchange(ResilientChannel):
                 BoundaryFill(grid, topology.boundary_sides(rank), self.boundary)
                 for rank in range(topology.size)
             ]
-        # Precompute per-direction slot sets and segment counts once.
-        self._send_slots = {
-            d: grid.send_region_slots(d) for d in NEIGHBOR_DIRECTIONS
-        }
-        self._ghost_slots = {
-            d: grid.ghost_region_slots(d) for d in NEIGHBOR_DIRECTIONS
-        }
-        self._send_segments = {
-            d: len(contiguous_segments(s)) for d, s in self._send_slots.items()
-        }
-        self._recv_segments = {
-            d: len(contiguous_segments(s)) for d, s in self._ghost_slots.items()
-        }
+        #: ``"planned"`` or ``"envelope"``, and why (:func:`exchange_path`)
+        self.path, self.path_reason = exchange_path(injector, self.tracer)
+        #: built on first use, so constructing a solver stays cheap
+        self._plan: ExchangePlan | None = None
+        #: (level, itemsize, nfields) -> the planned path's bulk accounting
+        self._accounts: dict[tuple[int, int, int], tuple] = {}
+
+    @property
+    def plan(self) -> ExchangePlan:
+        """This level's :class:`ExchangePlan` (built on first use)."""
+        if self._plan is None:
+            self._plan = exchange_plan(self.grid, self.topology)
+        return self._plan
 
     @property
     def recv_is_unpack_free(self) -> bool:
         """True when every receive lands in one contiguous segment."""
-        return all(n == 1 for n in self._recv_segments.values())
+        return all(n == 1 for n in self.plan.recv_segments.values())
 
     def exchange(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
@@ -489,31 +483,37 @@ class HaloExchange(ResilientChannel):
 
         ``fields_by_rank`` is the (ordered) list of fields to
         aggregate per rank; all ranks must pass the same number of
-        fields.  The whole collective phase (sends, receives including
-        any fault retries, boundary fills) runs inside one ``exchange``
-        span, so fault instants fired during receives land inside it.
+        fields.  The whole collective phase (copies or sends and
+        receives including any fault retries, boundary fills) runs
+        inside one ``exchange`` span, so fault instants fired during
+        receives land inside it.
 
-        Level-pinned ``rank_crash`` specs fire on entry; once a rank is
-        dead, every send/receive touching it is skipped so the
-        collective completes for the survivors (no hung waitall) —
-        the crash then surfaces as :class:`RankDeadError` at the next
-        residual reduction, which is the recovery ladder's guaranteed
-        detection point.
+        On the envelope path, level-pinned ``rank_crash`` specs fire on
+        entry; once a rank is dead, every send/receive touching it is
+        skipped so the collective completes for the survivors (no hung
+        waitall) — the crash then surfaces as :class:`RankDeadError` at
+        the next residual reduction, which is the recovery ladder's
+        guaranteed detection point.
         """
         nfields = len(fields_by_rank[0]) if fields_by_rank else 0
         with self.tracer.span("exchange", l=level, nfields=nfields):
-            self._exchange(level, fields_by_rank)
+            self._start(level, fields_by_rank)
+            self._complete(level, fields_by_rank)
+        if self.recorder is not None:
+            self.recorder.exchange(level)
 
     def begin(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
     ) -> tuple[int, Sequence[Sequence[BrickedArray]]]:
-        """Split-phase entry: post every rank's Isends and return.
+        """Split-phase entry: start the exchange and return.
 
-        Validation, crash polling and the send loop are byte-for-byte
-        the synchronous :meth:`exchange`'s first phase, so envelope
-        sequencing, checksums and fault injection see an identical
-        stream; the receives, boundary fills and exchange accounting
-        are deferred to :meth:`finish`.  The caller runs interior
+        Validation and the first phase are the synchronous
+        :meth:`exchange`'s: the planned path copies every ghost here
+        (it writes only ghost bricks, which the interior pass never
+        reads); the envelope path posts every rank's Isends, so
+        envelope sequencing, checksums and fault injection see an
+        identical stream.  Receives, boundary fills and the exchange
+        count are deferred to :meth:`finish`; the caller runs interior
         compute between the two calls.  Returns the pending token that
         :meth:`finish` consumes.
         """
@@ -522,9 +522,7 @@ class HaloExchange(ResilientChannel):
             l=level,
             nfields=len(fields_by_rank[0]) if fields_by_rank else 0,
         ):
-            self._validate(level, fields_by_rank)
-            self.poll_crashes(level)
-            self._post_sends(level, fields_by_rank)
+            self._start(level, fields_by_rank)
         return (level, fields_by_rank)
 
     def finish(
@@ -545,21 +543,27 @@ class HaloExchange(ResilientChannel):
             nfields=len(fields_by_rank[0]) if fields_by_rank else 0,
         ):
             self.poll_crashes(level)
-            self._complete_receives(level, fields_by_rank)
-            self._apply_fills(fields_by_rank)
+            self._complete(level, fields_by_rank)
         if self.recorder is not None:
             self.recorder.exchange(level)
 
-    def _exchange(
+    def _start(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
     ) -> None:
         self._validate(level, fields_by_rank)
-        self.poll_crashes(level)
-        self._post_sends(level, fields_by_rank)
-        self._complete_receives(level, fields_by_rank)
+        if self.path == "planned":
+            self._copy_planned(fields_by_rank)
+            self._account(level, fields_by_rank)
+        else:
+            self.poll_crashes(level)
+            self._post_sends(level, fields_by_rank)
+
+    def _complete(
+        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
+    ) -> None:
+        if self.path == "envelope":
+            self._complete_receives(level, fields_by_rank)
         self._apply_fills(fields_by_rank)
-        if self.recorder is not None:
-            self.recorder.exchange(level)
 
     def _validate(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
@@ -580,11 +584,61 @@ class HaloExchange(ResilientChannel):
                 ):
                     raise ValueError("field grid incompatible with exchanger grid")
 
+    def _copy_planned(
+        self, fields_by_rank: Sequence[Sequence[BrickedArray]]
+    ) -> None:
+        """Every ghost brick of every rank, one indexed copy per rank
+        pair and field."""
+        for dst, src, ghost, source in self.plan.pairs:
+            for into, fro in zip(fields_by_rank[dst], fields_by_rank[src]):
+                into.data[ghost] = fro.data[source]
+
+    def _segments(self, d: tuple[int, int, int], nfields: int) -> int:
+        """Storage segments a message along ``d`` gathers."""
+        return self.plan.send_segments[d] * nfields
+
+    def _account(
+        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
+    ) -> None:
+        """Record the planned exchange's messages in bulk: the envelope
+        path's message rows on the recorder, and its message, byte and
+        per-global-rank-pair counts on the root communicator."""
+        fields = fields_by_rank[0]
+        key = (level, fields[0].data.dtype.itemsize, len(fields))
+        account = self._accounts.get(key)
+        if account is None:
+            account = self._accounts[key] = self._build_account(*key)
+        events, nbytes, bytes_by_pair = account
+        if self.recorder is not None:
+            self.recorder.messages.extend(events)
+        root = self._root_comm()
+        root.sent_messages += len(events)
+        root.sent_bytes += nbytes
+        for pair, n in bytes_by_pair:
+            root.bytes_by_pair[pair] += n
+
+    def _build_account(self, level: int, itemsize: int, nfields: int) -> tuple:
+        events = []
+        by_pair: dict[tuple[int, int], int] = {}
+        for src, dst, d in self.plan.messages:
+            nbytes = self.grid.region_num_bytes(d, itemsize) * nfields
+            events.append(
+                MessageEvent(
+                    level, nbytes, direction_kind(d),
+                    self._segments(d, nfields), src == dst,
+                )
+            )
+            pair = (self._gr(src), self._gr(dst))
+            by_pair[pair] = by_pair.get(pair, 0) + nbytes
+        total = sum(ev.nbytes for ev in events)
+        return events, total, tuple(by_pair.items())
+
     def _post_sends(
         self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
     ) -> None:
         size = self.topology.size
         nfields = len(fields_by_rank[0])
+        plan = self.plan
         # Phase 1: every rank posts one aggregated send per direction.
         for rank in range(size):
             if self._is_dead(rank):
@@ -597,7 +651,7 @@ class HaloExchange(ResilientChannel):
                 if self._is_dead(dst):
                     continue  # no endpoint to deliver to
                 payload = np.stack(
-                    [f.data[self._send_slots[d]] for f in fields]
+                    [f.data[plan.send_slots[d]] for f in fields]
                 )
                 tag = direction_index(d)
                 checksum = action = None
@@ -616,7 +670,7 @@ class HaloExchange(ResilientChannel):
                         level,
                         payload.nbytes,
                         direction_kind(d),
-                        segments=self._send_segments[d] * nfields,
+                        segments=self._segments(d, nfields),
                         self_message=(dst == rank),
                     )
 
@@ -625,6 +679,7 @@ class HaloExchange(ResilientChannel):
     ) -> None:
         size = self.topology.size
         nfields = len(fields_by_rank[0])
+        plan = self.plan
         # Phase 2: every rank completes its 26 receives.  Data arriving
         # from the neighbour along d was sent with tag direction(d)
         # (the sender's direction towards us is -(-d) = d as the tag of
@@ -645,7 +700,7 @@ class HaloExchange(ResilientChannel):
                 # Our ghost region in direction d is the neighbour's
                 # send region in direction -d, tagged with -d's index.
                 tag = direction_index(tuple(-c for c in d))
-                ghost = self._ghost_slots[d]
+                ghost = plan.ghost_slots[d]
                 expected = (nfields, len(ghost)) + (self.grid.brick_dim,) * 3
                 payload = self._receive(level, rank, src, tag, d, expected)
                 with self.tracer.child(self._gr(rank)).span(
@@ -686,3 +741,45 @@ class HaloExchange(ResilientChannel):
             ),
             what="ghost region",
         )
+
+
+class LocalPeriodicExchange(HaloExchange):
+    """Single-rank exchange: the one-rank case of the exchange plan.
+
+    A :class:`HaloExchange` over a private one-rank communicator.  With
+    a periodic boundary its plan is one self pair whose tables are
+    ``BrickGrid.periodic_wrap_pairs``, recorded as 26 single-segment
+    ``self_message`` rows; with a non-periodic ``boundary`` the plan is
+    empty and the boundary condition synthesises every ghost brick (no
+    messages at all — one rank owns the whole domain).  It always runs
+    the planned path: a local wrap has no wire to fault or trace.
+    """
+
+    def __init__(
+        self,
+        grid: BrickGrid,
+        recorder: Recorder | None = None,
+        boundary=None,
+        tracer=None,
+    ) -> None:
+        from repro.gmg.boundary import BoundaryCondition
+
+        periodic = boundary in (None, BoundaryCondition.PERIODIC)
+        super().__init__(
+            grid, CartTopology((1, 1, 1), periodic=periodic), SimComm(1),
+            recorder, boundary, tracer=tracer,
+        )
+        self.path, self.path_reason = "planned", "one rank: a local wrap"
+
+    def _validate(
+        self, level: int, fields_by_rank: Sequence[Sequence[BrickedArray]]
+    ) -> None:
+        if len(fields_by_rank) != 1:
+            raise ValueError("LocalPeriodicExchange serves exactly one rank")
+        if any(f.grid is not self.grid for f in fields_by_rank[0]):
+            raise ValueError("field grid does not match the exchanger's grid")
+        super()._validate(level, fields_by_rank)
+
+    def _segments(self, d: tuple[int, int, int], nfields: int) -> int:
+        """A periodic self-wrap is recorded as pack-free."""
+        return 1

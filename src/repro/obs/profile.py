@@ -22,30 +22,33 @@ from repro.obs.chrome_trace import write_chrome_trace
 from repro.obs.metrics import solve_metrics
 from repro.obs.tracer import Tracer
 
-#: root spans that represent blocking on halo completion: a whole
-#: synchronous exchange, or the split-phase wait of an overlapped one
-_WAIT_SPAN_NAMES = ("exchange", "exchange.finish")
+#: root spans of exchange work: a whole synchronous exchange, or the
+#: completion half of a split-phase one
+_EXCHANGE_SPAN_NAMES = ("exchange", "exchange.finish")
 
 
-def wait_fraction(tracer: Tracer) -> tuple[float, float]:
-    """``(wait_s, fraction)`` of V-cycle wall time blocked on halos.
+def exchange_host_share(tracer: Tracer) -> tuple[float, float]:
+    """``(host_s, fraction)``: in-process exchange time in the V-cycles.
 
-    Sums the durations of :data:`_WAIT_SPAN_NAMES` spans inside the
-    ``vcycle`` windows and divides by total V-cycle time.  In overlap
-    mode the ``exchange.begin`` posting time is deliberately excluded —
-    it runs concurrently with interior compute and is not a wait.
+    Sums the durations of :data:`_EXCHANGE_SPAN_NAMES` spans inside the
+    ``vcycle`` windows and divides by total V-cycle time.  This is host
+    wall time spent in this process — copies, envelope bookkeeping,
+    boundary fills — not network wait: the simulated ranks share one
+    process, so nothing is ever in flight.  In overlap mode the
+    ``exchange.begin`` half is excluded, as it runs between the
+    interior and shell passes.
     """
     windows = tracer.find("vcycle")
     total = sum(w.duration for w in windows)
     if total <= 0.0:
         return 0.0, 0.0
-    waits = [s for s in tracer.spans if s.name in _WAIT_SPAN_NAMES]
-    wait = sum(
+    spans = [s for s in tracer.spans if s.name in _EXCHANGE_SPAN_NAMES]
+    host = sum(
         s.duration
-        for s in waits
+        for s in spans
         if any(w.start <= s.start and s.end <= w.end for w in windows)
     )
-    return wait, wait / total
+    return host, host / total
 
 
 @dataclass
@@ -60,12 +63,14 @@ class ProfileReport:
     rows: list[dict] = field(repr=False)
     machine_name: str | None
     metrics: dict = field(repr=False)
-    #: seconds the V-cycles spent waiting on halo completion — the
-    #: synchronous ``exchange`` spans plus the split-phase
-    #: ``exchange.finish`` waits (the overlap path's residual blocking)
-    wait_s: float = 0.0
-    #: ``wait_s`` as a share of total ``vcycle`` wall time
-    wait_fraction: float = 0.0
+    #: in-process host seconds of the V-cycles' ``exchange`` and
+    #: ``exchange.finish`` spans (:func:`exchange_host_share`)
+    exchange_host_s: float = 0.0
+    #: ``exchange_host_s`` as a share of total ``vcycle`` wall time
+    exchange_host_fraction: float = 0.0
+    #: the finest level's exchange path and why, e.g. ``"envelope (a
+    #: tracer is attached)"``
+    exchange_path: str = ""
 
     def render(self) -> str:
         """The full human-readable profile report."""
@@ -78,9 +83,16 @@ class ProfileReport:
             f"  trace: {len(self.tracer.spans)} spans, "
             f"{len(self.tracer.instants)} instants, "
             f"coverage {self.coverage:.1%} of the solve span",
-            f"  wait fraction: {self.wait_fraction:.1%} of V-cycle time "
-            f"blocked on halo completion ({self.wait_s:.6g}s in "
-            f"exchange/exchange.finish)",
+            f"  exchange host share: {self.exchange_host_fraction:.1%} of "
+            f"V-cycle time ({self.exchange_host_s:.6g}s in "
+            "exchange/exchange.finish; in-process host time, not network "
+            "wait)",
+            f"  exchange path: {self.exchange_path}"
+            + (
+                "; untraced fault-free solves run the planned copy"
+                if self.exchange_path.startswith("envelope")
+                else ""
+            ),
             "",
             render_measured_vs_model(self.rows, self.machine_name),
             "",
@@ -106,8 +118,9 @@ class ProfileReport:
             "wallclock_s": self.wallclock_s,
             "coverage": self.coverage,
             "machine": self.machine_name,
-            "wait_s": self.wait_s,
-            "wait_fraction": self.wait_fraction,
+            "exchange_host_s": self.exchange_host_s,
+            "exchange_host_fraction": self.exchange_host_fraction,
+            "exchange_path": self.exchange_path,
             "rows": [
                 {
                     "level": r["level"],
@@ -157,7 +170,8 @@ def profile_solve(
     rows = measured_vs_model_rows(
         tracer, config, machine, max(result.num_vcycles, 1)
     )
-    wait_s, wait_frac = wait_fraction(tracer)
+    host_s, host_frac = exchange_host_share(tracer)
+    finest = solver.exchangers[0]
     report = ProfileReport(
         config=config,
         result=result,
@@ -169,8 +183,9 @@ def profile_solve(
         metrics=solve_metrics(
             result.recorder, tracer, agglomerator=solver.agglomerator
         ).snapshot(),
-        wait_s=wait_s,
-        wait_fraction=wait_frac,
+        exchange_host_s=host_s,
+        exchange_host_fraction=host_frac,
+        exchange_path=f"{finest.path} ({finest.path_reason})",
     )
     if trace_path is not None:
         write_chrome_trace(

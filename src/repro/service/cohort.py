@@ -162,7 +162,9 @@ class StackedLocalExchanger:
             for stacked_field in targets:
                 stacked_field.fill_ghost_periodic()
         for delegate, fields in zip(self.delegates, fields_by_rank):
-            delegate._record(level, fields)
+            delegate._account(level, [fields])
+            if delegate.recorder is not None:
+                delegate.recorder.exchange(level)
 
 
 class _FanoutTransfer:
@@ -503,7 +505,7 @@ class CohortSolver:
             return None
         delegates = [m.exchangers[lev] for m in self.members]
         if not all(
-            isinstance(d, LocalPeriodicExchange) and d._fill is None
+            isinstance(d, LocalPeriodicExchange) and d._fills is None
             for d in delegates
         ):
             return None

@@ -151,10 +151,14 @@ class TestHaloExchange:
     def test_ghost_shape_mismatch_names_rank_direction_level(self, rng):
         from repro.bricks.brick_grid import NEIGHBOR_DIRECTIONS, direction_index
 
+        from repro.obs.tracer import Tracer
+
         grid = BrickGrid((2, 2, 2), 4)
         topo = CartTopology((2, 1, 1))
         comm = SimComm(2)
-        ex = HaloExchange(grid, topo, comm)
+        # a tracer arms the envelope path, whose receives read the wire
+        ex = HaloExchange(grid, topo, comm, tracer=Tracer())
+        assert ex.path == "envelope"
         fields = make_rank_fields(topo, grid, rng.random((16, 8, 8)))
         # smuggle a wrong-shaped payload onto the first envelope rank 0
         # will read; FIFO ordering guarantees it is matched first

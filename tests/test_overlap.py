@@ -424,7 +424,9 @@ class TestOverlapObservability:
         report = profile_solve(
             small_config(rank_dims=(2, 1, 1), overlap=True), machine_name=None
         )
-        assert 0.0 < report.wait_fraction < 1.0
-        assert report.wait_s > 0.0
-        assert "wait fraction" in report.render()
-        assert report.to_json()["wait_fraction"] == report.wait_fraction
+        assert 0.0 < report.exchange_host_fraction < 1.0
+        assert report.exchange_host_s > 0.0
+        assert "in-process host time, not network wait" in report.render()
+        assert "exchange path: envelope" in report.render()
+        json = report.to_json()
+        assert json["exchange_host_fraction"] == report.exchange_host_fraction
